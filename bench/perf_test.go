@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"runtime"
 	"testing"
 
 	"github.com/prismdb/prismdb/workload"
@@ -157,5 +158,38 @@ func TestParallelDriverMatchesSerial(t *testing.T) {
 	if ratio < 0.5 || ratio > 2.0 {
 		t.Fatalf("virtual elapsed diverged: serial %v, parallel %v (ratio %.2f)",
 			serial.Elapsed, par.Elapsed, ratio)
+	}
+}
+
+// allocPerWearByteBound caps host bytes allocated per byte written to the
+// simulated flash in a DefaultScale Table 2 prismdb-het run. Compactions
+// hand their SST buffers to the device and read through reused arenas, so
+// a run allocates 1.98 bytes per flash byte (7.36 when every SST was
+// copied into zero-filled extents and read back through per-block
+// buffers); the bound is that measurement plus 15%.
+const allocPerWearByteBound = 2.28
+
+// TestAllocPerFlashWearByte guards the engine's allocation volume against
+// the flash bytes it writes, for Table 2's prismdb-het row.
+func TestAllocPerFlashWearByte(t *testing.T) {
+	sc := DefaultScale()
+	wl, err := workload.YCSB('A', sc.Keys, sc.ValueSize, 0.8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := Run(Setup{System: SysPrism, NVMFraction: 0.11}, sc, wl, "prismdb-het")
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.FlashWearBytes == 0 {
+		t.Fatal("the run wrote nothing to flash")
+	}
+	ratio := float64(after.TotalAlloc-before.TotalAlloc) / float64(res.FlashWearBytes)
+	t.Logf("allocated %.2f bytes per flash wear byte (%d B / %d B)", ratio, after.TotalAlloc-before.TotalAlloc, res.FlashWearBytes)
+	if ratio > allocPerWearByteBound {
+		t.Fatalf("allocated %.2f bytes per flash wear byte, bound %.2f", ratio, allocPerWearByteBound)
 	}
 }

@@ -106,12 +106,18 @@ func (f *Filter) SizeBytes() int { return len(f.bits) + 16 }
 
 // Bytes serializes the filter: [k u32][m u64][n u64][bits].
 func (f *Filter) Bytes() []byte {
-	out := make([]byte, 4+8+8+len(f.bits))
-	binary.LittleEndian.PutUint32(out[0:], f.k)
-	binary.LittleEndian.PutUint64(out[4:], f.m)
-	binary.LittleEndian.PutUint64(out[12:], f.n)
-	copy(out[20:], f.bits)
-	return out
+	return f.AppendTo(make([]byte, 0, f.EncodedLen()))
+}
+
+// EncodedLen returns the length of the filter's serialized form.
+func (f *Filter) EncodedLen() int { return 4 + 8 + 8 + len(f.bits) }
+
+// AppendTo appends the serialized filter (see Bytes) to buf.
+func (f *Filter) AppendTo(buf []byte) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, f.k)
+	buf = binary.LittleEndian.AppendUint64(buf, f.m)
+	buf = binary.LittleEndian.AppendUint64(buf, f.n)
+	return append(buf, f.bits...)
 }
 
 // FromBytes deserializes a filter produced by Bytes.

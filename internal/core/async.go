@@ -329,9 +329,10 @@ func (p *partition) asyncCompactRange(compClk *simdev.Clock, r candRange, allowD
 		p.bg.rangeActive = true
 		p.bg.rangeLo, p.bg.rangeHi = r.lo, r.hi
 	}
-	// The arena is compaction-private state (one worker; sync and async
-	// never mix), so carrying it through the unlocked phase is safe.
-	arena := p.compArena[:0]
+	// The round owns its arenas from here until its commit finishes,
+	// unlocked phases included.
+	ar := p.arenas.get()
+	arena := ar.rec
 	var local Stats
 	p.mu.Unlock()
 
@@ -369,6 +370,7 @@ func (p *partition) asyncCompactRange(compClk *simdev.Clock, r candRange, allowD
 			bgYield() // cede the core to foreground work
 		}
 	}
+	ar.rec = arena
 	demoteRecs := make([]sst.Record, len(refs))
 	demoteLocs := make([]slab.Loc, len(refs))
 	for i, rf := range refs {
@@ -382,13 +384,14 @@ func (p *partition) asyncCompactRange(compClk *simdev.Clock, r candRange, allowD
 	}
 	compClk.AdvanceTo(maxEnd)
 
-	// ---- Phase 2 (execute, unlocked): read the overlapping SSTs.
-	var flashRecs []sst.Record
+	// ---- Phase 2 (execute, unlocked): read the overlapping SSTs into the
+	// flash arena. The records are views into it — no per-record copies —
+	// and stay valid through the commit (promotions among them included);
+	// the next round reuses the arena.
+	flashRecs := make([]sst.Record, 0, tableRecords(r.tables))
 	for _, t := range r.tables {
 		local.FlashBytesRead += t.Size()
-		t.ReadAll(compClk, func(rec sst.Record) error {
-			// Views pin their (per-call, GC-owned) block buffers for the
-			// job's lifetime — no per-record copies.
+		t.ReadAll(compClk, &ar.flash, func(rec sst.Record) error {
 			flashRecs = append(flashRecs, rec)
 			if len(flashRecs)%32 == 0 {
 				// A real compaction thread blocks on device I/O, ceding
@@ -441,7 +444,7 @@ func (p *partition) asyncCompactRange(compClk *simdev.Clock, r candRange, allowD
 	}
 
 	// ---- Phase 3 (execute, unlocked): merge and write the output SSTs.
-	out := newSSTSplitter(p, compClk, &local)
+	out := newSSTSplitter(p, compClk, &local, demoteRecs, flashRecs)
 	var actions []commitAction
 	var flashDropIdx []uint64 // bucket indexes of stale flash drops
 	var promos []sst.Record
@@ -473,6 +476,12 @@ func (p *partition) asyncCompactRange(compClk *simdev.Clock, r candRange, allowD
 			cmp = -1
 		default:
 			cmp = bytes.Compare(demoteRecs[ni].Key, flashRecs[fi].Key)
+		}
+		if cmp <= 0 {
+			out.consume(demoteRecs[ni])
+		}
+		if cmp >= 0 {
+			out.consume(flashRecs[fi])
 		}
 		switch {
 		case cmp < 0: // NVM-only
@@ -541,8 +550,8 @@ func (p *partition) asyncCompactRange(compClk *simdev.Clock, r candRange, allowD
 			// checkpoints forever.
 			p.health.degrade("compaction commit", err)
 			p.obs.events.Emit("compaction_abort", "partition", p.id, "cause", err.Error())
+			p.arenas.put(ar)
 			p.mu.Lock()
-			p.compArena = arena
 			if allowDemote {
 				p.bg.rangeActive = false
 				p.bg.rangeLo, p.bg.rangeHi = nil, nil
@@ -563,7 +572,6 @@ func (p *partition) asyncCompactRange(compClk *simdev.Clock, r candRange, allowD
 	// safe against whatever the foreground did in the gaps.
 	var freed int64
 	p.mu.Lock()
-	p.compArena = arena
 	// Pair the just-installed manifest with the current tree for lock-free
 	// readers before any NVM entries drop: a new-view reader finds demoted
 	// keys on whichever side it reaches first, and both hold the newest
@@ -692,6 +700,8 @@ func (p *partition) asyncCompactRange(compClk *simdev.Clock, r candRange, allowD
 	for _, idx := range flashDropIdx {
 		p.bkt.OnFlashDelete(idx)
 	}
+	// The commit is done with the round's record views.
+	p.arenas.put(ar)
 	p.stats.add(local)
 	// Final publication for the round: the last chunk's mutations.
 	p.publishView()

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"sync"
 	"time"
 
 	"github.com/prismdb/prismdb/internal/btree"
@@ -300,7 +301,9 @@ func (p *partition) compactRange(compClk *simdev.Clock, r candRange, allowDemote
 		version                uint64
 		tomb                   bool
 	}
-	arena := p.compArena[:0]
+	ar := p.arenas.get()
+	defer p.arenas.put(ar)
+	arena := ar.rec
 	refs := make([]demoteRef, 0, len(demoteObjs))
 	readStart := compClk.Now()
 	maxEnd := readStart
@@ -318,7 +321,7 @@ func (p *partition) compactRange(compClk *simdev.Clock, r candRange, allowDemote
 		arena = append(arena, rec.Key...)
 		arena = append(arena, rec.Value...)
 	}
-	p.compArena = arena
+	ar.rec = arena
 	demoteRecs := make([]sst.Record, len(refs))
 	for i, rf := range refs {
 		demoteRecs[i] = sst.Record{
@@ -331,19 +334,19 @@ func (p *partition) compactRange(compClk *simdev.Clock, r candRange, allowDemote
 	compClk.AdvanceTo(maxEnd)
 
 	// Phase 2: read all overlapping SST objects (sequential flash reads).
-	var flashRecs []sst.Record
+	// The tables' data sections land in the round's flash arena and the
+	// records are views into it — no per-record copies.
+	flashRecs := make([]sst.Record, 0, tableRecords(r.tables))
 	for _, t := range r.tables {
 		p.stats.FlashBytesRead += t.Size()
-		t.ReadAll(compClk, func(rec sst.Record) error {
-			// The views pin their per-block buffers for the merge's
-			// lifetime — no per-record copies.
+		t.ReadAll(compClk, &ar.flash, func(rec sst.Record) error {
 			flashRecs = append(flashRecs, rec)
 			return nil
 		})
 	}
 
 	// Phase 3: merge. Both inputs are sorted; NVM versions win ties.
-	out := newSSTSplitter(p, compClk, &p.stats)
+	out := newSSTSplitter(p, compClk, &p.stats, demoteRecs, flashRecs)
 	ni, fi := 0, 0
 	emitFlash := func(rec sst.Record) {
 		idx := p.opts.KeyIndex(rec.Key)
@@ -373,6 +376,12 @@ func (p *partition) compactRange(compClk *simdev.Clock, r candRange, allowDemote
 			cmp = -1
 		default:
 			cmp = bytes.Compare(demoteRecs[ni].Key, flashRecs[fi].Key)
+		}
+		if cmp <= 0 {
+			out.consume(demoteRecs[ni])
+		}
+		if cmp >= 0 {
+			out.consume(flashRecs[fi])
 		}
 		switch {
 		case cmp < 0: // NVM-only
@@ -504,7 +513,9 @@ func (p *partition) pinDecider() mapper.Decider {
 	return mapper.New(thr).NewDecider(p.trk.Distribution())
 }
 
-// promoteToNVM writes a flash record into the slabs.
+// promoteToNVM writes a flash record into the slabs. rec is a view into a
+// compaction arena that the next round overwrites, so the B-tree gets its
+// own copy of the key.
 func (p *partition) promoteToNVM(compClk *simdev.Clock, rec sst.Record) bool {
 	loc, err := p.slabs.Put(compClk, slab.Record{
 		Key: rec.Key, Value: rec.Value, Version: rec.Version, Tombstone: rec.Tombstone,
@@ -512,8 +523,56 @@ func (p *partition) promoteToNVM(compClk *simdev.Clock, rec sst.Record) bool {
 	if err != nil {
 		return false
 	}
-	p.index.Insert(rec.Key, uint64(loc))
+	p.index.Insert(bytes.Clone(rec.Key), uint64(loc))
 	return true
+}
+
+// mergeArenas are a merge round's reusable read buffers: rec holds the
+// demoting records' bytes and flash the input SSTs' data sections. The
+// round's record views point into them, so the round owns its arenas until
+// its commit finishes, and nothing may keep a view past that —
+// promoteToNVM clones the key the B-tree keeps.
+type mergeArenas struct {
+	rec, flash []byte
+}
+
+// arenaCache keeps one idle set of merge arenas for a DB's partitions. The
+// serial driver runs one round at a time, so a single set serves every
+// round; background rounds of several partitions that overlap get fresh
+// sets, and only the last one returned stays cached, so idle partitions
+// pin no read buffers.
+type arenaCache struct {
+	mu   sync.Mutex
+	idle *mergeArenas
+}
+
+// get hands out the idle set, emptied, or a new one.
+func (c *arenaCache) get() *mergeArenas {
+	c.mu.Lock()
+	a := c.idle
+	c.idle = nil
+	c.mu.Unlock()
+	if a == nil {
+		return &mergeArenas{}
+	}
+	a.rec, a.flash = a.rec[:0], a.flash[:0]
+	return a
+}
+
+// put caches a for the next round; the caller must hold no view into it.
+func (c *arenaCache) put(a *mergeArenas) {
+	c.mu.Lock()
+	c.idle = a
+	c.mu.Unlock()
+}
+
+// tableRecords returns the summed record count of tables.
+func tableRecords(tables []*sst.Table) int {
+	n := 0
+	for _, t := range tables {
+		n += t.Count()
+	}
+	return n
 }
 
 // sstSplitter writes merged output into SSTs of at most TargetSSTBytes.
@@ -526,16 +585,33 @@ type sstSplitter struct {
 	stats   *Stats
 	w       *sst.Writer
 	tables  []*sst.Table
+	// remaining bounds the output still to come: the encoded bytes of the
+	// merge inputs not yet consumed. A new writer's buffer is sized to the
+	// smaller of it and TargetSSTBytes, so a merge's last table is not
+	// built in (and handed to the device with) a full-size buffer.
+	remaining int64
 }
 
-func newSSTSplitter(p *partition, compClk *simdev.Clock, stats *Stats) *sstSplitter {
-	return &sstSplitter{p: p, compClk: compClk, stats: stats}
+// newSSTSplitter starts the output of a merge whose inputs are the given
+// record lists.
+func newSSTSplitter(p *partition, compClk *simdev.Clock, stats *Stats, inputs ...[]sst.Record) *sstSplitter {
+	s := &sstSplitter{p: p, compClk: compClk, stats: stats}
+	for _, recs := range inputs {
+		for _, rec := range recs {
+			s.remaining += int64(rec.EncodedLen())
+		}
+	}
+	return s
 }
 
 func (s *sstSplitter) add(rec sst.Record) {
 	if s.w == nil {
 		name := s.p.opts.Flash.NextFileName(fmt.Sprintf("p%d-sst", s.p.id))
-		s.w = sst.NewWriterSize(s.p.opts.Flash, s.p.opts.Cache, name, s.p.opts.BlockSize, int(s.p.opts.TargetSSTBytes))
+		hint := s.p.opts.TargetSSTBytes
+		if s.remaining < hint {
+			hint = s.remaining
+		}
+		s.w = sst.NewWriterSize(s.p.opts.Flash, s.p.opts.Cache, name, s.p.opts.BlockSize, int(hint))
 	}
 	if err := s.w.Add(rec); err != nil {
 		panic(fmt.Sprintf("core: sst writer: %v", err)) // merge emits sorted unique keys
@@ -543,6 +619,12 @@ func (s *sstSplitter) add(rec sst.Record) {
 	if s.w.EstimatedSize() >= s.p.opts.TargetSSTBytes {
 		s.cut()
 	}
+}
+
+// consume marks an input record as taken by the merge, whether it is then
+// added, dropped or promoted.
+func (s *sstSplitter) consume(rec sst.Record) {
+	s.remaining -= int64(rec.EncodedLen())
 }
 
 func (s *sstSplitter) cut() {

@@ -27,6 +27,7 @@ type DB struct {
 	parts  []*partition
 	dur    *durable // nil without Options.DataDir
 	obs    *engineObs
+	arenas arenaCache
 	health *healthTracker
 	scrub  *scrubber // nil unless Options.ScrubInterval > 0 (durable mode)
 	closed atomic.Bool
@@ -52,7 +53,7 @@ func Open(opts Options) (*DB, error) {
 		}
 	}
 	for i := 0; i < opts.Partitions; i++ {
-		p, err := newPartition(i, &db.opts, db.dur, db.obs)
+		p, err := newPartition(i, &db.opts, db.dur, db.obs, &db.arenas)
 		if err != nil {
 			db.abortOpen()
 			return nil, fmt.Errorf("core: partition %d: %w", i, err)

@@ -200,3 +200,51 @@ func TestObsRaceStress(t *testing.T) {
 	// Post-close: gathering must still be safe (collector reads zeroed DB).
 	reg.Gather()
 }
+
+// TestHardStallSecondsSubSecond pins the hard-stall seconds counter to the
+// exact stalled time: a write that blocks about 300 ms behind a running
+// background job must export that fraction of a second, not 0.
+func TestHardStallSecondsSubSecond(t *testing.T) {
+	db, err := Open(asyncTestOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	p := db.parts[0]
+	p.mu.Lock()
+	// No credit, and a background job that holds the space the write
+	// needs: admitWrite must block until the job's next commit broadcast.
+	p.spaceCredit = 0
+	p.bg.running = true
+	p.mu.Unlock()
+	done := make(chan error, 1)
+	go func() {
+		_, err := db.Put(key(1), val(1, 100))
+		done <- err
+	}()
+	for {
+		p.mu.Lock()
+		stalled := p.stats.CompactionHardStalls
+		p.mu.Unlock()
+		if stalled > 0 {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(300 * time.Millisecond)
+	p.mu.Lock()
+	p.bg.running = false
+	p.bg.commitCond.Broadcast()
+	p.mu.Unlock()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	g := db.Registry().Gather()
+	if pt, ok := g.Find("prism_engine_compaction_hard_stalls_total"); !ok || pt.Value != 1 {
+		t.Fatalf("hard stalls = %+v, want 1", pt)
+	}
+	pt, ok := g.Find("prism_engine_compaction_hard_stall_seconds_total")
+	if !ok || pt.Value < 0.3 || pt.Value >= 10 {
+		t.Fatalf("hard stall seconds = %+v, want the ~0.3 s stall", pt)
+	}
+}

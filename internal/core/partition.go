@@ -94,13 +94,13 @@ type partition struct {
 	}
 
 	// scanBufs is a small free list of NVM-cursor entry buffers recycled
-	// across iterators, and compArena the compactor's reusable
-	// demote-record buffer (both guarded by mu, like everything else on
-	// the partition). pinnedBuf and rangeBuf are likewise compaction
-	// scratch (single compaction thread), reused so the worker's LOCKED
-	// prepare phase allocates nothing per round.
+	// across iterators (guarded by mu, like everything else on the
+	// partition). arenas is the DB's cache of merge read buffers (see
+	// mergeArenas). pinnedBuf and rangeBuf are compaction scratch (single
+	// compaction thread), reused so the worker's LOCKED prepare phase
+	// allocates nothing per round.
 	scanBufs  [][]nvmEntry
-	compArena []byte
+	arenas    *arenaCache
 	pinnedBuf [][]byte
 	rangeBuf  []candRange
 
@@ -194,11 +194,12 @@ const (
 	rtCooldown
 )
 
-func newPartition(id int, opts *Options, dur *durable, eo *engineObs) (*partition, error) {
+func newPartition(id int, opts *Options, dur *durable, eo *engineObs, arenas *arenaCache) (*partition, error) {
 	p := &partition{
 		id:        id,
 		obs:       eo,
 		opts:      opts,
+		arenas:    arenas,
 		clk:       simdev.NewClock(),
 		index:     btree.New(),
 		mpr:       mapper.New(opts.PinningThreshold),
@@ -295,7 +296,7 @@ func (p *partition) recover() error {
 	snap := p.man.Acquire()
 	defer snap.Release()
 	for _, t := range snap.Tables() {
-		err := t.ReadAll(p.clk, func(r sst.Record) error {
+		err := t.ReadAll(p.clk, nil, func(r sst.Record) error {
 			p.bkt.OnDemote(p.opts.KeyIndex(r.Key))
 			// OnDemote would clear the NVM bit; restore it if the key is
 			// also NVM-resident.

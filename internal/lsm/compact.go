@@ -163,8 +163,10 @@ func (db *DB) compactLevel(compClk *simdev.Clock, level int) {
 			}
 		}
 		for _, f := range seq {
-			f.t.ReadAll(compClk, func(r sst.Record) error {
-				// Views pin their block buffers until the merge finishes.
+			f.t.ReadAll(compClk, nil, func(r sst.Record) error {
+				// With a nil arena each table reads into a fresh buffer
+				// that the retained views keep alive until the merge's
+				// maps are dropped.
 				if _, ok := newest[string(r.Key)]; !ok {
 					newest[string(r.Key)] = r
 					order = append(order, string(r.Key))
@@ -392,7 +394,7 @@ func (db *DB) backgroundMutant(clk *simdev.Clock) {
 // file) and swaps the placement, as Mutant does at file granularity.
 func (db *DB) migrateFile(compClk *simdev.Clock, f *levelFile, level int, dst *simdev.Device) {
 	w := sst.NewWriter(dst, db.blockCache, dst.NextFileName(fmt.Sprintf("lsm-mig-l%d", level)), db.cfg.BlockSize)
-	err := f.t.ReadAll(compClk, func(r sst.Record) error { return w.Add(r) })
+	err := f.t.ReadAll(compClk, nil, func(r sst.Record) error { return w.Add(r) })
 	if err != nil {
 		panic(fmt.Sprintf("lsm: migrate read: %v", err))
 	}

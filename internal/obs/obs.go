@@ -172,6 +172,12 @@ func (g *Gathered) Counter(name, help string, v int64) {
 	g.Points = append(g.Points, Point{Name: name, Help: help, Value: float64(v)})
 }
 
+// CounterFloat appends a counter sample with a fractional value, such as
+// accumulated seconds (collector helper).
+func (g *Gathered) CounterFloat(name, help string, v float64) {
+	g.Points = append(g.Points, Point{Name: name, Help: help, Value: v})
+}
+
 // Gauge appends a gauge sample (collector helper).
 func (g *Gathered) Gauge(name, help string, v float64) {
 	g.Points = append(g.Points, Point{Name: name, Help: help, Value: v, IsGauge: true})

@@ -16,13 +16,20 @@ import (
 // (e.g. the slab layer charges one page write per Put; the SST layer charges
 // one large sequential write per flush).
 //
-// Storage is a list of fixed-size extents rather than one contiguous
-// buffer: growing a file allocates new extents and never moves existing
-// bytes. With a single backing slice, the append that extended a multi-MB
-// slab file would periodically reallocate-and-copy the whole file — a
-// multi-millisecond stall billed to whichever foreground write triggered
-// the grow, which is exactly the class of latency artifact the simulation
-// exists to measure honestly.
+// Storage is a list of extents of at most extentBytes rather than one
+// contiguous buffer: growing a file allocates new extents and never moves
+// existing bytes. With a single backing slice, the append that extended a
+// multi-MB slab file would periodically reallocate-and-copy the whole file
+// — a multi-millisecond stall billed to whichever foreground write
+// triggered the grow, which is exactly the class of latency artifact the
+// simulation exists to measure honestly.
+//
+// Ownership: Device.WriteFile hands a whole buffer to an in-memory file,
+// which keeps it as its extents (3-index slices cut at extentBytes
+// boundaries) instead of copying it into zero-filled ones. From that call
+// on the bytes belong to the file: the caller must neither modify nor
+// reuse the buffer. Every other write copies its argument, and ReadAt
+// always copies out, so a reader never aliases file storage.
 type File struct {
 	dev  *Device
 	name string
@@ -42,6 +49,14 @@ const extentBytes = 256 << 10
 // holds f.mu.
 func (f *File) ensure(n int64) {
 	need := int((n + extentBytes - 1) / extentBytes)
+	if k := len(f.extents); k > 0 && int64(k-1)*extentBytes+int64(len(f.extents[k-1])) < n &&
+		len(f.extents[k-1]) < extentBytes {
+		// WriteFile's last extent ends at the data; widen it before the
+		// file grows past it.
+		ext := make([]byte, extentBytes)
+		copy(ext, f.extents[k-1])
+		f.extents[k-1] = ext
+	}
 	for len(f.extents) < need {
 		f.extents = append(f.extents, make([]byte, extentBytes))
 	}
@@ -85,6 +100,49 @@ func (d *Device) CreateFile(name string) (*File, error) {
 		f.back = bf
 	}
 	d.files[name] = f
+	return f, nil
+}
+
+// WriteFile creates the named file holding data, replacing any file of
+// that name. An in-memory device takes ownership of data (see File): no
+// byte is copied or padded, and the caller must not touch data afterwards.
+// A device with a Backing creates the backing file and writes data to it.
+// It reserves capacity like Append and fails, leaving no file, when the
+// device is full.
+func (d *Device) WriteFile(name string, data []byte) (*File, error) {
+	if _, err := d.OpenFile(name); err == nil {
+		if err := d.RemoveFile(name); err != nil {
+			return nil, err
+		}
+	}
+	n := int64(len(data))
+	if err := d.allocate(n); err != nil {
+		return nil, err
+	}
+	f, err := d.CreateFile(name)
+	if err != nil {
+		d.release(n)
+		return nil, err
+	}
+	f.mu.Lock()
+	if f.back != nil {
+		err = f.back.WriteAt(data, 0)
+	} else {
+		f.extents = make([][]byte, 0, (len(data)+extentBytes-1)/extentBytes)
+		for off := 0; off < len(data); off += extentBytes {
+			end := min(off+extentBytes, len(data))
+			f.extents = append(f.extents, data[off:end:end])
+		}
+	}
+	if err == nil {
+		f.size = n
+	}
+	f.mu.Unlock()
+	if err != nil {
+		d.release(n)
+		_ = d.RemoveFile(name) // best effort: the write's error is the one to report
+		return nil, err
+	}
 	return f, nil
 }
 

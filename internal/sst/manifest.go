@@ -168,14 +168,9 @@ func (m *Manifest) persist(tables []*Table) error {
 		buf = append(buf, nl[:]...)
 		buf = append(buf, t.Name()...)
 	}
-	// Rewrite in place: remove and recreate (the simulation's files don't
-	// support truncating writes).
-	m.dev.RemoveFile(m.name)
-	f, err := m.dev.CreateFile(m.name)
-	if err != nil {
-		return err
-	}
-	_, err = f.Append(buf)
+	// Replace the file wholesale (the simulation's files don't support
+	// truncating writes); the device keeps buf as the file's storage.
+	_, err := m.dev.WriteFile(m.name, buf)
 	return err
 }
 

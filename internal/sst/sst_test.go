@@ -162,7 +162,7 @@ func TestReadAllOrdered(t *testing.T) {
 	tbl := buildTable(t, dev, cache, "t1", 777)
 	clk := simdev.NewClock()
 	var keys []string
-	err := tbl.ReadAll(clk, func(r Record) error {
+	err := tbl.ReadAll(clk, nil, func(r Record) error {
 		keys = append(keys, string(r.Key))
 		return nil
 	})

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sync"
 
 	"github.com/prismdb/prismdb/internal/bloom"
@@ -125,10 +126,16 @@ func (t *Table) Overlaps(lo, hi []byte) bool {
 	return true
 }
 
+// recordHeader is the fixed part of a serialized record.
+const recordHeader = 15
+
+// EncodedLen returns the bytes r occupies in a data block.
+func (r Record) EncodedLen() int { return recordHeader + len(r.Key) + len(r.Value) }
+
 // appendRecord serializes a record into buf:
 // [version u64][keyLen u16][valLen u32][flags u8] key value
 func appendRecord(buf []byte, r Record) []byte {
-	var hdr [15]byte
+	var hdr [recordHeader]byte
 	binary.LittleEndian.PutUint64(hdr[0:], r.Version)
 	binary.LittleEndian.PutUint16(hdr[8:], uint16(len(r.Key)))
 	binary.LittleEndian.PutUint32(hdr[10:], uint32(len(r.Value)))
@@ -145,14 +152,14 @@ func appendRecord(buf []byte, r Record) []byte {
 // Value alias data, plus the remaining bytes. Callers that retain the
 // record beyond the block buffer's lifetime must Clone it.
 func decodeRecord(data []byte) (Record, []byte, error) {
-	if len(data) < 15 {
+	if len(data) < recordHeader {
 		return Record{}, nil, errors.New("sst: truncated record header")
 	}
 	version := binary.LittleEndian.Uint64(data[0:])
 	kl := int(binary.LittleEndian.Uint16(data[8:]))
 	vl := int(binary.LittleEndian.Uint32(data[10:]))
 	tomb := data[14] == 1
-	data = data[15:]
+	data = data[recordHeader:]
 	if len(data) < kl+vl {
 		return Record{}, nil, errors.New("sst: truncated record body")
 	}
@@ -200,16 +207,19 @@ func NewWriter(dev *simdev.Device, cache *simdev.PageCache, name string, blockSi
 }
 
 // NewWriterSize is NewWriter with a hint of the output's data size, so the
-// data buffer is allocated once instead of growing through doubling —
+// file buffer is allocated once instead of growing through doubling —
 // compactions stream entire tables through writers, making that churn the
-// largest allocation source in the engine.
+// largest allocation source in the engine. The buffer leaves room past the
+// hint for the overshooting last block and the index, filter and footer
+// that Finish appends, so a table of about sizeHint bytes is handed to the
+// device without a copy.
 func NewWriterSize(dev *simdev.Device, cache *simdev.PageCache, name string, blockSize, sizeHint int) *Writer {
 	if blockSize <= 0 {
 		blockSize = DefaultBlockSize
 	}
 	w := &Writer{dev: dev, cache: cache, name: name, blockSize: blockSize}
 	if sizeHint > 0 {
-		w.data = make([]byte, 0, sizeHint+blockSize)
+		w.data = make([]byte, 0, sizeHint+blockSize+sizeHint/16)
 		w.keyBuf = make([]byte, 0, sizeHint/32)
 	}
 	return w
@@ -256,34 +266,16 @@ func (w *Writer) EstimatedSize() int64 { return int64(len(w.data) + len(w.buf)) 
 
 // Finish writes the file and returns an open Table. The write is charged as
 // one sequential flash write against clk (nil skips time accounting, e.g.
-// during test setup).
+// during test setup). The index, filter and footer are appended to the
+// data buffer, which then passes to the device (Device.WriteFile) without
+// a copy; the Writer must not be used afterwards.
 func (w *Writer) Finish(clk *simdev.Clock) (*Table, error) {
 	if w.count == 0 {
 		return nil, errors.New("sst: cannot finish empty table")
 	}
 	w.flushBlock()
 
-	// Index block.
-	var idx []byte
-	var cnt [4]byte
-	binary.LittleEndian.PutUint32(cnt[:], uint32(len(w.blocks)))
-	idx = append(idx, cnt[:]...)
-	for _, b := range w.blocks {
-		var h [18]byte
-		binary.LittleEndian.PutUint64(h[0:], uint64(b.off))
-		binary.LittleEndian.PutUint32(h[8:], uint32(b.len))
-		binary.LittleEndian.PutUint32(h[12:], b.crc)
-		binary.LittleEndian.PutUint16(h[16:], uint16(len(b.lastKey)))
-		idx = append(idx, h[:]...)
-		idx = append(idx, b.lastKey...)
-	}
-	// Smallest key, for reopening.
-	var skl [2]byte
-	binary.LittleEndian.PutUint16(skl[:], uint16(len(w.firstKey)))
-	idx = append(idx, skl[:]...)
-	idx = append(idx, w.firstKey...)
-
-	// Bloom filter block.
+	// Bloom filter over every key.
 	w.filter = bloom.New(len(w.keyOffs), 0.01)
 	for i, off := range w.keyOffs {
 		end := len(w.keyBuf)
@@ -292,31 +284,46 @@ func (w *Writer) Finish(clk *simdev.Clock) (*Table, error) {
 		}
 		w.filter.Add(w.keyBuf[off:end])
 	}
-	fb := w.filter.Bytes()
 
-	// Layout: data | index | filter | footer. Sections are appended to the
-	// file directly (no intermediate assembly buffer); the device write is
-	// still charged as one large sequential request below.
+	// Layout: data | index | filter | footer, assembled in one buffer.
 	idxOff := int64(len(w.data))
-	fOff := idxOff + int64(len(idx))
-	var footer [48]byte
-	binary.LittleEndian.PutUint64(footer[0:], uint64(idxOff))
-	binary.LittleEndian.PutUint64(footer[8:], uint64(len(idx)))
-	binary.LittleEndian.PutUint64(footer[16:], uint64(fOff))
-	binary.LittleEndian.PutUint64(footer[24:], uint64(len(fb)))
-	binary.LittleEndian.PutUint64(footer[32:], uint64(w.count))
-	binary.LittleEndian.PutUint64(footer[40:], footerMagic)
-	total := fOff + int64(len(fb)) + 48
+	idxLen := int64(4 + 2 + len(w.firstKey))
+	for _, b := range w.blocks {
+		idxLen += int64(18 + len(b.lastKey))
+	}
+	fOff := idxOff + idxLen
+	fLen := int64(w.filter.EncodedLen())
+	total := fOff + fLen + 48
+	buf := w.data
+	// The file keeps buf's whole backing array, so a table much smaller
+	// than its size hint (a merge's last output) is copied into an exact
+	// buffer rather than pinning the unused capacity.
+	if int64(cap(buf)) < total || int64(cap(buf))-total > total/8 {
+		buf = make([]byte, idxOff, total)
+		copy(buf, w.data)
+	}
+	w.data = nil
 
-	f, err := w.dev.CreateFile(w.name)
+	// Index block, then the smallest key, for reopening.
+	le := binary.LittleEndian
+	buf = le.AppendUint32(buf, uint32(len(w.blocks)))
+	for _, b := range w.blocks {
+		buf = le.AppendUint64(buf, uint64(b.off))
+		buf = le.AppendUint32(buf, uint32(b.len))
+		buf = le.AppendUint32(buf, b.crc)
+		buf = le.AppendUint16(buf, uint16(len(b.lastKey)))
+		buf = append(buf, b.lastKey...)
+	}
+	buf = le.AppendUint16(buf, uint16(len(w.firstKey)))
+	buf = append(buf, w.firstKey...)
+	buf = w.filter.AppendTo(buf)
+	for _, v := range []uint64{uint64(idxOff), uint64(idxLen), uint64(fOff), uint64(fLen), uint64(w.count), footerMagic} {
+		buf = le.AppendUint64(buf, v)
+	}
+
+	f, err := w.dev.WriteFile(w.name, buf)
 	if err != nil {
 		return nil, err
-	}
-	for _, part := range [][]byte{w.data, idx, fb, footer[:]} {
-		if _, err := f.Append(part); err != nil {
-			w.dev.RemoveFile(w.name)
-			return nil, err
-		}
 	}
 	if clk != nil {
 		w.dev.AccessClk(clk, simdev.OpWrite, total)
@@ -562,33 +569,47 @@ func (t *Table) VerifyBlock(i int, buf []byte) (ok bool, _ []byte, err error) {
 }
 
 // ReadAll streams every record to fn in key order, charging one sequential
-// read of the data section. Compactions use this to merge tables. The
-// records passed to fn are views into per-block buffers; retaining one
-// keeps its whole block reachable (fine for merge-lifetime retention —
-// Clone to hold a record longer than the table's data is worth pinning).
-func (t *Table) ReadAll(clk *simdev.Clock, fn func(Record) error) error {
+// read of the data section. Compactions use this to merge tables.
+//
+// The data section is read into one buffer and the records passed to fn
+// are views into it. With a nil arena the buffer is fresh and the views
+// live as long as anything references them. Otherwise it is appended to
+// *arena (grown as needed), so successive ReadAlls into one arena keep
+// every earlier table's views intact; once the caller reuses the arena
+// (resets it to [:0] for the next merge), all of them are invalid, and a
+// record kept beyond that must be Cloned.
+func (t *Table) ReadAll(clk *simdev.Clock, arena *[]byte, fn func(Record) error) error {
+	var dataLen int64
+	for _, h := range t.index {
+		dataLen += h.len
+	}
 	if clk != nil {
-		var dataLen int64
-		for _, h := range t.index {
-			dataLen += h.len
-		}
 		t.dev.AccessClk(clk, simdev.OpRead, dataLen)
 	}
+	var buf []byte
+	if arena != nil {
+		a := slices.Grow(*arena, int(dataLen))
+		buf = a[len(a) : len(a)+int(dataLen)]
+		*arena = a[:len(a)+int(dataLen)]
+	} else {
+		buf = make([]byte, dataLen)
+	}
+	var off int64
 	for _, h := range t.index {
-		buf := make([]byte, h.len)
-		if err := t.file.ReadAt(buf, h.off); err != nil {
+		if err := t.file.ReadAt(buf[off:off+h.len], h.off); err != nil {
 			return err
 		}
-		for len(buf) > 0 {
-			rec, rest, err := decodeRecord(buf)
-			if err != nil {
-				return err
-			}
-			if err := fn(rec); err != nil {
-				return err
-			}
-			buf = rest
+		off += h.len
+	}
+	for len(buf) > 0 {
+		rec, rest, err := decodeRecord(buf)
+		if err != nil {
+			return err
 		}
+		if err := fn(rec); err != nil {
+			return err
+		}
+		buf = rest
 	}
 	return nil
 }

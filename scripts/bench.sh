@@ -35,11 +35,17 @@ trap 'rm -f "$tmp"' EXIT
 # prismload-shaped SET stream against an in-process prismserver with
 # demotion merges running steadily, whose set-p99-us rows track what
 # foreground SETs pay for compaction under inline (sync) vs background
-# (async) execution against the no-compaction baseline. (|| status=$?
-# keeps set -e from discarding the captured output on failure.)
+# (async) execution against the no-compaction baseline. The layer
+# microbenchmarks follow: B-tree insert/get (./internal/btree), SST build
+# and compaction read (BenchmarkSSTFinish, BenchmarkSSTReadAll in
+# ./internal/sst), and one sync demotion round (BenchmarkCompactRange in
+# ./internal/core); their B/op and allocs/op rows attribute an allocation
+# regression to one layer. (|| status=$? keeps set -e from discarding the
+# captured output on failure.)
 status=0
 go test -run '^$' -bench "${BENCH_PATTERN:-.}" -benchmem \
-	-benchtime "${BENCH_TIME:-1x}" . ./bench/... ./internal/server/ > "$tmp" || status=$?
+	-benchtime "${BENCH_TIME:-1x}" . ./bench/... ./internal/server/ \
+	./internal/btree/ ./internal/sst/ ./internal/core/ > "$tmp" || status=$?
 cat "$tmp"
 [ "$status" -eq 0 ] || exit "$status"
 
