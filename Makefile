@@ -80,12 +80,11 @@ bench:
 	./scripts/bench.sh
 
 # One fast iteration of the contended-read and contended-write rows
-# (in-process hot-partition GETs and SETs at 1/8 goroutines — the SET rows
-# in both write modes so the owner-queue-vs-locked margin is visible — plus
-# the GET-heavy serving row): a cheap CI tripwire for regressions in the
+# (in-process hot-partition GETs and SETs at 1/8 goroutines, plus the
+# GET-heavy serving row): a cheap CI tripwire for regressions in the
 # lock-free read path and the batched write path, without waiting for the
 # nightly bench script.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkContendedGets/goroutines=(1|8)' -benchtime 1x ./bench/
-	$(GO) test -run '^$$' -bench 'BenchmarkContendedSets(Locked)?/goroutines=(1|8)' -benchtime 1x ./bench/
+	$(GO) test -run '^$$' -bench 'BenchmarkContendedSets/goroutines=(1|8)' -benchtime 1x ./bench/
 	$(GO) test -run '^$$' -bench 'BenchmarkServerContendedGets' -benchtime 1x ./internal/server/

@@ -358,14 +358,7 @@ func build(setup Setup, sc Scale, wl workload.Config) (*rig, error) {
 			return nil, err
 		}
 		opts := core.Options{
-			CompactionMode: cmode,
-			// The lockstep drivers are serial: the owner-queue write path
-			// would never batch (one op in flight) and its drain cadence
-			// would shift read-trigger timing between runs under study.
-			// Virtual-time measurements pin the deterministic locked path;
-			// the wall-clock contended benches (contended_test.go) choose
-			// their WriteMode explicitly.
-			WriteMode:        core.WriteSync,
+			CompactionMode:   cmode,
 			Partitions:       parts,
 			NVM:              r.nvm,
 			Flash:            r.flash,
@@ -488,6 +481,15 @@ func build(setup Setup, sc Scale, wl workload.Config) (*rig, error) {
 	return r, nil
 }
 
+// close releases the engine: PrismDB's write owners and compaction workers
+// (and the whole DB they keep reachable) outlive the experiment otherwise.
+// The LSM engine starts no goroutines.
+func (r *rig) close() {
+	if r.prism != nil {
+		r.prism.Close()
+	}
+}
+
 func maxI64(a, b int64) int64 {
 	if a > b {
 		return a
@@ -522,6 +524,7 @@ func Run(setup Setup, sc Scale, wl workload.Config, label string) (*Result, erro
 	if err != nil {
 		return nil, err
 	}
+	defer r.close()
 	gen := workload.NewGenerator(wl)
 
 	// Load phase.

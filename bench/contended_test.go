@@ -97,17 +97,13 @@ func BenchmarkContendedGets(b *testing.B) {
 
 // benchContendedSets hammers ONE partition with G goroutines issuing
 // class-stable overwrites (in-place NVM updates, no compactions) and
-// reports wall-clock throughput. Under WriteSync every SET takes the
-// partition lock and pays the full per-op fixed costs (read-state drain,
-// clock fold) itself; under WriteAsync (the default) an uncontended SET
-// applies directly as a batch of one on the batch drain cadence, and
-// contended SETs ride the owner's MPSC intent ring where the critical
-// section, the WAL group append, and the republication amortize over the
-// whole batch. The goroutines=8 row should beat the locked path at every
-// width. On a multi-core host the margin widens with the burst (real
-// batches form); on a single-core host (this repo's CI container) the
-// win comes from the per-batch cost amortization alone.
-func benchContendedSets(b *testing.B, goroutines int, mode core.WriteMode) {
+// reports wall-clock throughput. An uncontended SET applies directly as a
+// batch of one; contended SETs ride the owner's MPSC intent ring, where the
+// critical section, the read-state drain, the WAL group append and the
+// republication amortize over the whole batch. On a multi-core host the
+// batches grow with the burst; on a single core the win comes from the
+// per-batch cost amortization alone.
+func benchContendedSets(b *testing.B, goroutines int) {
 	opts := core.Options{
 		Partitions:      1, // one hot partition: the contention worst case
 		NVM:             simdev.New(simdev.NVMParams(1 << 30)),
@@ -117,7 +113,6 @@ func benchContendedSets(b *testing.B, goroutines int, mode core.WriteMode) {
 		TrackerCapacity: 8192,
 		KeySpace:        1 << 20,
 		Seed:            1,
-		WriteMode:       mode,
 	}
 	db, err := core.Open(opts)
 	if err != nil {
@@ -168,18 +163,7 @@ func benchContendedSets(b *testing.B, goroutines int, mode core.WriteMode) {
 func BenchmarkContendedSets(b *testing.B) {
 	for _, g := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("goroutines=%d", g), func(b *testing.B) {
-			benchContendedSets(b, g, core.WriteAsync)
-		})
-	}
-}
-
-// BenchmarkContendedSetsLocked is the same burst through the legacy locked
-// write path (Options.WriteMode = WriteSync) — the baseline the queue must
-// beat at every width.
-func BenchmarkContendedSetsLocked(b *testing.B) {
-	for _, g := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("goroutines=%d", g), func(b *testing.B) {
-			benchContendedSets(b, g, core.WriteSync)
+			benchContendedSets(b, g)
 		})
 	}
 }

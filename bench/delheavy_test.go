@@ -27,6 +27,7 @@ func TestDeleteHeavyChurn(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			defer r.close()
 			gen := workload.NewGenerator(wl)
 			for i := 0; i < sc.Keys; i++ {
 				if _, err := r.eng.Put(gen.LoadKey(i), gen.LoadValue(i)); err != nil {
@@ -59,7 +60,6 @@ func TestDeleteHeavyChurn(t *testing.T) {
 			if used > high {
 				t.Fatalf("NVM usage %d above high watermark %d (budget %d) after settling", used, high, budget)
 			}
-			r.prism.Close()
 		})
 	}
 }
@@ -88,7 +88,7 @@ func TestAsyncSerialBenchFidelity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer r.prism.Close()
+				defer r.close()
 				gen := workload.NewGenerator(wl)
 				for i := 0; i < sc.Keys; i++ {
 					if _, err := r.eng.Put(gen.LoadKey(i), gen.LoadValue(i)); err != nil {

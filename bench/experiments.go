@@ -110,20 +110,10 @@ func Fig5(w io.Writer, sc Scale) (map[string][4]float64, error) {
 	rows := [][]string{}
 	for _, wb := range []byte{'A', 'B', 'D', 'F'} {
 		wl, _ := workload.YCSB(wb, sc.Keys, sc.ValueSize, 0.99, 1)
-		r, err := build(Setup{System: SysPrism, NVMFraction: 1.0 / 6}, sc, wl)
+		dist, err := clockDistribution(sc, wl)
 		if err != nil {
 			return nil, err
 		}
-		gen := workload.NewGenerator(wl)
-		for i := 0; i < sc.Keys; i++ {
-			r.eng.Put(gen.LoadKey(i), gen.LoadValue(i))
-		}
-		for i := 0; i < sc.Ops; i++ {
-			if err := applyOp(r.eng, gen.Next(), nil, nil, nil); err != nil {
-				return nil, err
-			}
-		}
-		dist := r.prism.ClockDistribution()
 		total := 0
 		for _, n := range dist {
 			total += n
@@ -141,6 +131,26 @@ func Fig5(w io.Writer, sc Scale) (map[string][4]float64, error) {
 	}
 	table(w, []string{"workload", "clk-0%", "clk-1%", "clk-2%", "clk-3%"}, rows)
 	return out, nil
+}
+
+// clockDistribution loads and runs wl against PrismDB and returns the
+// tracker's clock-value histogram.
+func clockDistribution(sc Scale, wl workload.Config) ([4]int, error) {
+	r, err := build(Setup{System: SysPrism, NVMFraction: 1.0 / 6}, sc, wl)
+	if err != nil {
+		return [4]int{}, err
+	}
+	defer r.close()
+	gen := workload.NewGenerator(wl)
+	for i := 0; i < sc.Keys; i++ {
+		r.eng.Put(gen.LoadKey(i), gen.LoadValue(i))
+	}
+	for i := 0; i < sc.Ops; i++ {
+		if err := applyOp(r.eng, gen.Next(), nil, nil, nil); err != nil {
+			return [4]int{}, err
+		}
+	}
+	return r.prism.ClockDistribution(), nil
 }
 
 // Fig6 compares precise-MSC, approx-MSC, and random-selection on YCSB-A
@@ -443,33 +453,11 @@ func Fig14b(w io.Writer, sc Scale) (map[string][]Fig14bPoint, error) {
 		{"noprom", true},
 		{"prom", false},
 	} {
-		wl, _ := workload.YCSB('C', sc.Keys, sc.ValueSize, 0.99, 1)
-		r, err := build(Setup{System: SysPrism, NVMFraction: 1.0 / 6, DisablePromotions: variant.disable}, sc, wl)
+		pts, err := promotionTimeline(sc, variant.disable)
 		if err != nil {
 			return nil, err
 		}
-		gen := workload.NewGenerator(wl)
-		for i := 0; i < sc.Keys; i++ {
-			r.eng.Put(gen.LoadKey(i), gen.LoadValue(i))
-		}
-		const segments = 8
-		segOps := sc.Ops / segments
-		var pts []Fig14bPoint
-		for seg := 0; seg < segments; seg++ {
-			r.prism.ResetStats()
-			before := r.eng.Elapsed()
-			for i := 0; i < segOps; i++ {
-				if err := applyOp(r.eng, gen.Next(), nil, nil, nil); err != nil {
-					return nil, err
-				}
-			}
-			elapsed := r.eng.Elapsed() - before
-			st := r.prism.Stats()
-			pt := Fig14bPoint{Ops: (seg + 1) * segOps, NVMReadRatio: st.NVMReadRatio()}
-			if elapsed > 0 {
-				pt.ThroughputK = float64(segOps) / elapsed.Seconds() / 1000
-			}
-			pts = append(pts, pt)
+		for _, pt := range pts {
 			rows = append(rows, []string{variant.label, fmt.Sprintf("%d", pt.Ops),
 				f1(pt.ThroughputK), f2(pt.NVMReadRatio)})
 		}
@@ -477,6 +465,41 @@ func Fig14b(w io.Writer, sc Scale) (map[string][]Fig14bPoint, error) {
 	}
 	table(w, []string{"variant", "ops", "tput(Kops/s)", "nvm read ratio"}, rows)
 	return out, nil
+}
+
+// promotionTimeline loads YCSB-C and runs it in eight segments, reporting
+// each segment's throughput and NVM read ratio.
+func promotionTimeline(sc Scale, disablePromotions bool) ([]Fig14bPoint, error) {
+	wl, _ := workload.YCSB('C', sc.Keys, sc.ValueSize, 0.99, 1)
+	r, err := build(Setup{System: SysPrism, NVMFraction: 1.0 / 6, DisablePromotions: disablePromotions}, sc, wl)
+	if err != nil {
+		return nil, err
+	}
+	defer r.close()
+	gen := workload.NewGenerator(wl)
+	for i := 0; i < sc.Keys; i++ {
+		r.eng.Put(gen.LoadKey(i), gen.LoadValue(i))
+	}
+	const segments = 8
+	segOps := sc.Ops / segments
+	var pts []Fig14bPoint
+	for seg := 0; seg < segments; seg++ {
+		r.prism.ResetStats()
+		before := r.eng.Elapsed()
+		for i := 0; i < segOps; i++ {
+			if err := applyOp(r.eng, gen.Next(), nil, nil, nil); err != nil {
+				return nil, err
+			}
+		}
+		elapsed := r.eng.Elapsed() - before
+		st := r.prism.Stats()
+		pt := Fig14bPoint{Ops: (seg + 1) * segOps, NVMReadRatio: st.NVMReadRatio()}
+		if elapsed > 0 {
+			pt.ThroughputK = float64(segOps) / elapsed.Seconds() / 1000
+		}
+		pts = append(pts, pt)
+	}
+	return pts, nil
 }
 
 // Fig14c sweeps the pinning threshold for a read-heavy, balanced, and

@@ -50,7 +50,6 @@ func main() {
 	grace := flag.Duration("grace", 5*time.Second, "graceful-shutdown drain window")
 	quiet := flag.Bool("quiet", false, "suppress per-connection log output")
 	compaction := flag.String("compaction", "async", "compaction mode: async (background workers; short foreground critical sections) or sync (inline, deterministic)")
-	writeMode := flag.String("write-mode", "async", "write path: async (per-partition owner goroutine, batched group commit) or sync (legacy locked per-op path)")
 	dataDir := flag.String("data-dir", "", "durable data directory (empty = in-memory simulation; see the package docs' Durability section)")
 	walSync := flag.String("wal-sync", "sync", "WAL durability mode with -data-dir: sync (ack after fsync, group commit), group (background fsync window), nosync (OS-paced)")
 	fsyncEvery := flag.Int("fsync-every", 0, "group mode: fsync every N records (0 = default 64)")
@@ -79,11 +78,6 @@ func main() {
 	default:
 		log.Fatalf("prismserver: -compaction must be async or sync, got %q", *compaction)
 	}
-	wm, err := prismdb.ParseWriteMode(*writeMode)
-	if err != nil {
-		log.Fatalf("prismserver: %v", err)
-	}
-	cfg0.WriteMode = wm
 	if *dataDir != "" {
 		mode, err := prismdb.ParseSyncMode(*walSync)
 		if err != nil {

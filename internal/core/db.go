@@ -64,8 +64,11 @@ func Open(opts Options) (*DB, error) {
 			return nil, fmt.Errorf("core: recover partition %d: %w", i, err)
 		}
 		// First view publication: lock-free GETs are served from the moment
-		// Open returns. (Single-threaded here, so no lock is needed.)
+		// Open returns. (Single-threaded here, so no lock is needed.) The
+		// write owner idles until client traffic arrives: WAL replay applies
+		// directly (finishDurable), so its start order is immaterial.
 		p.publishView()
+		p.startWriteOwner()
 		db.parts = append(db.parts, p)
 	}
 	if opts.CompactionMode == CompactionAsync {
@@ -76,14 +79,6 @@ func Open(opts Options) (*DB, error) {
 			p.startWorker()
 		}
 	}
-	if opts.WriteMode == WriteAsync {
-		// Owner goroutines idle until client traffic arrives: WAL replay
-		// bypasses the queue (putLocking/delLocking), so start order against
-		// finishDurable is immaterial.
-		for _, p := range db.parts {
-			p.startWriteOwner()
-		}
-	}
 	// A degrade transition must reach producers parked on a full intent
 	// ring (their park predicate now fails through the health gate) and the
 	// owners themselves, so intents already queued are drain-failed with
@@ -92,10 +87,8 @@ func Open(opts Options) (*DB, error) {
 	// error can arrive the moment traffic does.
 	db.health.onDegrade = append(db.health.onDegrade, func() {
 		for _, p := range db.parts {
-			if p.wq != nil {
-				p.wq.wake()
-				p.wq.wakeProducers()
-			}
+			p.wq.wake()
+			p.wq.wakeProducers()
 		}
 	})
 	if db.dur != nil {
@@ -168,24 +161,27 @@ func (db *DB) partitionOf(key []byte) *partition {
 // Put writes key=value and returns the simulated operation latency. While
 // the DB is degraded (see Health) it fails fast with ErrReadOnly.
 func (db *DB) Put(key, value []byte) (time.Duration, error) {
+	return db.write(intentPut, key, value, nil)
+}
+
+// write routes one client mutation to its partition; tr is nil unless the
+// op is traced (PutTraced, DeleteTraced).
+func (db *DB) write(op byte, key, value []byte, tr *OpTrace) (time.Duration, error) {
 	if db.closed.Load() {
 		return 0, ErrClosed
 	}
-	if err := db.health.writeErr(); err != nil {
-		return 0, err
-	}
-	return db.partitionOf(key).put(key, value, false, true)
+	return db.partitionOf(key).write(op, key, value, tr)
 }
 
 // PutBatch writes every pair and returns the summed simulated latency of
 // the individual writes (the MSET latency model: one batch is billed what
-// its ops would have cost serially). In WriteAsync mode the pairs are
-// enqueued together, so a single-partition batch is applied as one owner
-// batch — one critical section, one WAL group append, one view
-// republication — which is the RESP pipelined-write fast path's whole
-// point. On error the batch may be partially applied (each pair is an
-// independent write, exactly as if the caller had looped over Put); the
-// first error is returned after every enqueued intent has completed.
+// its ops would have cost serially). The pairs are enqueued together, so
+// a single-partition batch is applied as one owner batch — one critical
+// section, one WAL group append, one view republication — which is the
+// RESP pipelined-write fast path's whole point. On error the batch may be
+// partially applied (each pair is an independent write, exactly as if the
+// caller had looped over Put); the first error is returned after every
+// enqueued intent has completed.
 func (db *DB) PutBatch(pairs []KV) (time.Duration, error) {
 	if db.closed.Load() {
 		return 0, ErrClosed
@@ -197,16 +193,6 @@ func (db *DB) PutBatch(pairs []KV) (time.Duration, error) {
 		return 0, nil
 	}
 	var total time.Duration
-	if db.opts.WriteMode != WriteAsync {
-		for _, kv := range pairs {
-			lat, err := db.partitionOf(kv.Key).put(kv.Key, kv.Value, false, true)
-			if err != nil {
-				return total, err
-			}
-			total += lat
-		}
-		return total, nil
-	}
 	intents := make([]*writeIntent, 0, len(pairs))
 	parts := make([]*partition, 0, len(pairs))
 	var firstErr error
@@ -259,13 +245,7 @@ func (db *DB) GetBuf(key, buf []byte) ([]byte, Tier, time.Duration, error) {
 // Delete removes key, writing a flash tombstone when needed (§6). While the
 // DB is degraded it fails fast with ErrReadOnly.
 func (db *DB) Delete(key []byte) (time.Duration, error) {
-	if db.closed.Load() {
-		return 0, ErrClosed
-	}
-	if err := db.health.writeErr(); err != nil {
-		return 0, err
-	}
-	return db.partitionOf(key).del(key)
+	return db.write(intentDel, key, nil, nil)
 }
 
 // Scan returns up to n live objects with keys ≥ start in global key order:
@@ -319,10 +299,8 @@ func (db *DB) Stats() Stats {
 		if p.bg.promotePending {
 			ps.CompactionBacklog++
 		}
-		if p.wq != nil {
-			ps.WriteQueueDepth = p.wq.depth()
-			ps.ProducerParks = p.wq.parks.Load()
-		}
+		ps.WriteQueueDepth = p.wq.depth()
+		ps.ProducerParks = p.wq.parks.Load()
 		for i, c := range p.wbHist {
 			wbHist[i] += c
 		}
@@ -368,9 +346,7 @@ func (db *DB) ResetStats() {
 		p.casMaxVclock(p.clk.Now())
 		p.stats = Stats{}
 		p.wbHist = [16]int64{}
-		if p.wq != nil {
-			p.wq.parks.Store(0)
-		}
+		p.wq.parks.Store(0)
 		p.mu.Unlock()
 	}
 }

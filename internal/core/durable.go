@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"time"
 
 	"github.com/prismdb/prismdb/internal/storage"
@@ -140,23 +139,18 @@ func (db *DB) openDurable() error {
 
 // finishDurable completes recovery after the partitions have rebuilt their
 // in-memory state from the recovered files: replay the WAL tail through
-// the ordinary write paths, checkpoint so the replayed segments go away,
-// and only then attach the WAL to the partitions — replay itself must not
-// re-log. Counters touched by replay are zeroed; an Open returns a DB with
+// applyLocked (the direct write path's apply, as internal writes),
+// checkpoint so the replayed segments go away, and only then attach the WAL
+// to the partitions — replay itself must not re-log. Counters touched by replay are zeroed; an Open returns a DB with
 // fresh stats either way.
 func (db *DB) finishDurable() error {
 	d := db.dur
 	_, err := d.wal.Replay(func(op byte, key, value []byte) error {
 		p := db.partitionOf(key)
-		switch op {
-		case storage.OpPut:
-			_, _, perr := p.putLocking(key, value, false, false)
-			return perr
-		case storage.OpDel:
-			_, _, derr := p.delLocking(key)
-			return derr
-		}
-		return fmt.Errorf("core: wal replay: unknown op %d", op)
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		_, _, aerr := p.applyLocked(op, key, value, false)
+		return aerr
 	})
 	d.recovery = d.wal.Stats().Recovery
 	if err != nil {

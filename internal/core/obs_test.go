@@ -76,9 +76,7 @@ func TestObsPrivateRegistry(t *testing.T) {
 // TestOpTraceStages drives traced writes down both write paths and checks
 // the stage accounting documented on OpTrace.
 func TestOpTraceStages(t *testing.T) {
-	o := testOptions()
-	o.WriteMode = WriteAsync
-	db, err := Open(o)
+	db, err := Open(testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +132,6 @@ func TestObsRaceStress(t *testing.T) {
 	ev := obs.NewEventLog(128)
 	tracer := obs.NewTracer(4, 16, 32) // sample 1 in 4
 	o := asyncTestOptions()
-	o.WriteMode = WriteAsync
 	o.Partitions = 2
 	o.Metrics = reg
 	o.Events = ev

@@ -6,7 +6,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"github.com/prismdb/prismdb/internal/msc"
@@ -121,49 +120,6 @@ func (m CompactionMode) String() string {
 	return "async"
 }
 
-// WriteMode selects how client mutations reach the partition state.
-type WriteMode int
-
-const (
-	// WriteAsync (the default) batches SET/DEL per partition. An
-	// uncontended caller applies directly as a batch of one (ring empty +
-	// TryLock — no handoff); contended callers frame write intents into a
-	// bounded lock-free MPSC ring (producers park when it fills —
-	// lossless, unlike the popularity ring) and the partition's owner
-	// goroutine drains a batch, applies every mutation in one locked
-	// critical section, issues one WAL group append for the whole batch
-	// (batch = fsync group under SyncEvery), and republishes the read
-	// view once per batch. Ack semantics, per-op virtual-time latency
-	// composition, read-your-writes on the enqueuing goroutine, and the
-	// slab-write-before-WAL-append durability ordering are all preserved,
-	// so serial virtual-time results track WriteSync closely (see
-	// writequeue.go).
-	WriteAsync WriteMode = iota
-	// WriteSync is the legacy locked write path: each mutation takes the
-	// partition lock itself. Deterministic serial benches and the
-	// async-vs-sync fidelity tests use it as the reference.
-	WriteSync
-)
-
-// String names the mode.
-func (m WriteMode) String() string {
-	if m == WriteSync {
-		return "sync"
-	}
-	return "async"
-}
-
-// ParseWriteMode parses the -write-mode flag spellings.
-func ParseWriteMode(s string) (WriteMode, error) {
-	switch strings.ToLower(s) {
-	case "async", "queue", "owner":
-		return WriteAsync, nil
-	case "sync", "locked":
-		return WriteSync, nil
-	}
-	return 0, fmt.Errorf("core: unknown write mode %q (want async or sync)", s)
-}
-
 // Options configure a DB. NVM and Flash are required; zero values elsewhere
 // take the documented defaults.
 type Options struct {
@@ -220,11 +176,6 @@ type Options struct {
 	// CompactionMode selects background (async, the default) or inline
 	// (sync) compaction execution; see the constants for the trade-off.
 	CompactionMode CompactionMode
-
-	// WriteMode selects the owner-goroutine batched write path (async,
-	// the default) or the legacy per-op locked path (sync); see the
-	// constants for the trade-off.
-	WriteMode WriteMode
 
 	// KeyIndex maps a key to a dense index in [0, KeySpace), used for
 	// bucket statistics and range partitioning. Defaults to parsing the

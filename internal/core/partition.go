@@ -117,24 +117,17 @@ type partition struct {
 	readBufs   bufRack
 	sinceDrain atomic.Int64
 
-	// Owner-goroutine write path (Options.WriteMode == WriteAsync; see
-	// writequeue.go). wq is nil in WriteSync mode, making the queue
-	// machinery invisible to the legacy locked path. curBatch is non-nil
-	// only inside applyBatch's critical section; putBodyLocked and
-	// delBodyLocked route their WAL records and view republication through
-	// it so the whole batch shares one append and one publish. wbHist is
-	// the batch-size histogram (guarded by mu, bits.Len-bucketed like the
-	// WAL's group-commit histogram).
-	// wdrain (guarded by mu) is the write-side drain cadence: direct
-	// (uncontended fast path) writes fold read state every drainEvery ops
-	// or when the touch ring crowds, mirroring the reader cadence and the
-	// owner's once-per-batch drain, instead of paying the full fold on
-	// every op the way the legacy locked path does.
+	// Write path (writequeue.go): wq is the owner goroutine's intent queue,
+	// started by Open. curBatch is non-nil only inside applyBatch's
+	// critical section; putBodyLocked and delBodyLocked route their WAL
+	// records and view republication through it so the whole batch shares
+	// one append and one publish. wbHist is the batch-size histogram
+	// (guarded by mu, bits.Len-bucketed like the WAL's group-commit
+	// histogram).
 	wq           *writeQueue
 	curBatch     *pendingBatch
 	batchScratch pendingBatch
 	wbHist       [16]int64
-	wdrain       int
 
 	// obs holds the DB-wide telemetry instruments (shared across
 	// partitions; every instrument is lock-free or nil-safe).
@@ -387,87 +380,88 @@ func (p *partition) stallTo(t int64) {
 	}
 }
 
-// put writes key=value (or a tombstone when value is nil and tomb is set).
-// In WriteAsync mode client puts are handed to the partition's owner
-// goroutine (writequeue.go), which applies them in arrival-order batches;
-// otherwise — WriteSync mode, and internal writes either way — the mutation
-// runs under the partition lock right here. Both paths then block off-lock
-// (durable DBs in SyncEvery mode) until the write's WAL record is fsynced,
-// so the group-commit wait never serializes the partition.
-func (p *partition) put(key, value []byte, tomb, clientOp bool) (time.Duration, error) {
-	if clientOp {
-		if err := p.writeGate(); err != nil {
-			return 0, err
-		}
+// write applies one client mutation (intentPut or intentDel) and waits out
+// its durability. An uncontended caller — intent ring idle and the lock
+// free — is a batch of one: handing the op to the owner would buy nothing
+// and cost two scheduler handoffs, so it applies directly under the lock it
+// just took. Under contention TryLock fails (or intents are already queued)
+// and the op rides the owner queue (writequeue.go), where real batches form.
+// Either path then blocks off-lock (durable DBs in SyncEvery mode) until
+// the op's WAL record is fsynced, so the group-commit wait never serializes
+// the partition. tr is non-nil only for sampled ops and receives the op's
+// stage timings (see OpTrace).
+func (p *partition) write(op byte, key, value []byte, tr *OpTrace) (time.Duration, error) {
+	if err := p.writeGate(); err != nil {
+		return 0, err
 	}
-	if p.wq != nil && clientOp && !tomb {
-		// Uncontended fast path: with no intents queued and the lock free,
-		// handing this op to the owner would buy nothing — the batch would
-		// hold only us — and cost two scheduler handoffs. Become a batch of
-		// one instead: apply directly under the lock we just got. Under
-		// contention TryLock fails and the op takes the queue, where real
-		// batches form.
-		if p.wq.idle() && p.mu.TryLock() {
-			lat, lsn, err := p.putDirectLocked(key, value)
-			if err != nil {
-				return lat, err
-			}
-			return lat, p.wal.WaitDurable(lsn)
-		}
-		return p.enqueueWait(intentPut, key, value, nil)
+	if !p.wq.idle() || !p.mu.TryLock() {
+		return p.enqueueWait(op, key, value, tr)
 	}
-	lat, lsn, err := p.putLocking(key, value, tomb, clientOp)
-	if err != nil {
-		return lat, err
+	var a0 time.Time
+	if tr != nil {
+		a0 = time.Now()
 	}
-	if err := p.wal.WaitDurable(lsn); err != nil {
-		return lat, err
-	}
-	return lat, nil
-}
-
-// putLocking acquires p.mu itself and runs the put body under it (the
-// *Locking suffix marks "takes the lock", as opposed to *Locked's "caller
-// already holds it"). clientOp distinguishes client Puts
-// from internal writes (the tombstone a Delete routes through this path,
-// WAL replay), so the Puts counter counts exactly the client operations
-// issued, internal writes never touch the popularity tracker, and only
-// client operations are WAL-logged (a tombstone is re-derived from its DEL
-// record at replay; replayed records must not re-log). The WAL append
-// happens at the end of the critical section, after the slab write it
-// describes — the ordering the checkpoint scheme depends on (durable.go).
-func (p *partition) putLocking(key, value []byte, tomb, clientOp bool) (time.Duration, uint64, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.syncClockLocked()
-	p.drainReadsLocked()
-	defer func() { p.casMaxVclock(p.clk.Now()) }()
-	return p.putBodyLocked(key, value, tomb, clientOp)
-}
-
-// putDirectLocked is the WriteAsync uncontended fast path's body: the caller
-// already holds p.mu via TryLock. It differs from putLocking in one way: read
-// state is folded on the write path's batch cadence (writerDrainLocked)
-// rather than on every op — a batch of one still pays its own mutation in
-// full, but shares the drain duty the way owner batches do.
-func (p *partition) putDirectLocked(key, value []byte) (time.Duration, uint64, error) {
-	defer p.mu.Unlock()
-	p.syncClockLocked()
-	p.writerDrainLocked()
-	defer func() { p.casMaxVclock(p.clk.Now()) }()
 	// A plain counter under the already-held lock, NOT an atomic histogram
 	// observation: this is the write hot path, and the shared instrument's
 	// cache-line traffic costs several percent of contended throughput. The
 	// collector folds DirectWrites into prism_write_batch_ops as batches of
 	// one at gather time.
 	p.stats.DirectWrites++
-	return p.putBodyLocked(key, value, false, true)
+	lat, lsn, err := p.applyLocked(op, key, value, true)
+	p.mu.Unlock()
+	if tr != nil {
+		tr.Apply = time.Since(a0)
+	}
+	if err != nil {
+		return lat, err
+	}
+	return lat, p.waitDurable(lsn, tr)
 }
 
-// putBodyLocked is the mutation body shared by putLocking and del's inline
-// tombstone insert. The caller holds p.mu with the clock synced and reads
-// drained; admission may briefly release and re-acquire the lock (see
-// admitWrite), exactly as when entered through putLocking.
+// applyLocked is the lock-entry prologue and body of one mutation applied
+// on its own — the direct client path and WAL replay: fold the off-lock
+// clock frontier and read state, run the op, publish the clock. The owner
+// runs the same prologue once per batch (applyBatch). Folding read state on
+// every op keeps the serial driver's virtual time a function of the op
+// stream alone. Caller holds p.mu.
+func (p *partition) applyLocked(op byte, key, value []byte, clientOp bool) (time.Duration, uint64, error) {
+	p.syncClockLocked()
+	p.drainReadsLocked()
+	var lat time.Duration
+	var lsn uint64
+	var err error
+	if op == intentDel {
+		lat, lsn, err = p.delBodyLocked(key)
+	} else {
+		lat, lsn, err = p.putBodyLocked(key, value, false, clientOp)
+	}
+	p.casMaxVclock(p.clk.Now())
+	return lat, lsn, err
+}
+
+// waitDurable blocks off-lock until lsn is durable, billing the wait to
+// tr.FsyncWait for a traced op.
+func (p *partition) waitDurable(lsn uint64, tr *OpTrace) error {
+	if tr == nil {
+		return p.wal.WaitDurable(lsn)
+	}
+	f0 := time.Now()
+	err := p.wal.WaitDurable(lsn)
+	tr.FsyncWait = time.Since(f0)
+	return err
+}
+
+// putBodyLocked is the put mutation body shared by applyLocked, the owner's
+// applyBatch and del's inline tombstone insert. clientOp distinguishes
+// client Puts from internal writes (that tombstone, WAL replay), so the
+// Puts counter counts exactly the client operations issued, internal
+// writes never touch the popularity tracker, and only client operations
+// are WAL-logged (a tombstone is re-derived from its DEL record at replay;
+// replayed records must not re-log). The WAL append happens at the end,
+// after the slab write it describes — the ordering the checkpoint scheme
+// depends on (durable.go). The caller holds p.mu with the clock synced and
+// reads drained; admission may briefly release and re-acquire the lock
+// (see admitWrite).
 func (p *partition) putBodyLocked(key, value []byte, tomb, clientOp bool) (time.Duration, uint64, error) {
 	// Republish the read view when this put changed the B-tree (fresh
 	// insert, class-change move) or the manifest (a sync compaction inside
@@ -844,57 +838,11 @@ func (p *partition) recordGet(src Tier) {
 	}
 }
 
-// del removes key. NVM versions are deleted directly; if an older version
-// may remain on flash a tombstone is inserted to NVM, to die in a later
-// merge (§6). In WriteAsync mode client deletes ride the owner queue like
-// puts; WAL replay and WriteSync mode go through delLocking directly.
-func (p *partition) del(key []byte) (time.Duration, error) {
-	if err := p.writeGate(); err != nil {
-		return 0, err
-	}
-	if p.wq != nil {
-		// Same uncontended fast path as put: a lone deleter is a batch of
-		// one, applied directly; contended deleters ride the queue.
-		if p.wq.idle() && p.mu.TryLock() {
-			lat, lsn, err := p.delDirectLocked(key)
-			if err != nil {
-				return lat, err
-			}
-			return lat, p.wal.WaitDurable(lsn)
-		}
-		return p.enqueueWait(intentDel, key, nil, nil)
-	}
-	lat, lsn, err := p.delLocking(key)
-	if err != nil {
-		return lat, err
-	}
-	return lat, p.wal.WaitDurable(lsn)
-}
-
-// delLocking is the locked wrapper of delBodyLocked, mirroring putLocking.
-func (p *partition) delLocking(key []byte) (time.Duration, uint64, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.syncClockLocked()
-	p.drainReadsLocked()
-	defer func() { p.casMaxVclock(p.clk.Now()) }()
-	return p.delBodyLocked(key)
-}
-
-// delDirectLocked mirrors putDirectLocked for deletes: p.mu already held,
-// read state folded on the write-batch cadence.
-func (p *partition) delDirectLocked(key []byte) (time.Duration, uint64, error) {
-	defer p.mu.Unlock()
-	p.syncClockLocked()
-	p.writerDrainLocked()
-	defer func() { p.casMaxVclock(p.clk.Now()) }()
-	p.stats.DirectWrites++ // plain counter, not the histogram: see putDirectLocked
-	return p.delBodyLocked(key)
-}
-
-// delBodyLocked is the delete mutation body shared by delLocking and the
-// owner's applyBatch. The caller holds p.mu with the clock synced and reads
-// drained.
+// delBodyLocked removes key. NVM versions are deleted directly; if an older
+// version may remain on flash a tombstone is inserted to NVM, to die in a
+// later merge (§6). It is the delete mutation body shared by applyLocked
+// and the owner's applyBatch. The caller holds p.mu with the clock synced
+// and reads drained.
 func (p *partition) delBodyLocked(key []byte) (time.Duration, uint64, error) {
 	republish := false
 	defer func() {

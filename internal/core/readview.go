@@ -158,12 +158,18 @@ type readShard struct {
 // machine advances exactly as if each GET had run it inline, just in
 // batches. Caller holds p.mu.
 func (p *partition) drainReadsLocked() {
+	// Every lock-free GET bumps sinceDrain after recording its counters and
+	// touch (maybeDrainReads), so zero means there is nothing to fold; a
+	// GET caught between the two is folded by the next drain. The write
+	// path drains on every op, and this one load keeps that cheap.
+	if p.sinceDrain.Load() == 0 {
+		return
+	}
 	// Any drain restarts the readers' cadence: without this, a writer-heavy
 	// phase (where writers win every drain) would leave sinceDrain
 	// saturated and every subsequent GET would burn a TryLock CAS on the
-	// contended mutex line. The write-side cadence restarts too.
+	// contended mutex line.
 	p.sinceDrain.Store(0)
-	p.wdrain = 0
 	var gets, dram, nvm, flash, miss, fp int64
 	for i := range p.sink {
 		s := &p.sink[i]
@@ -190,19 +196,6 @@ func (p *partition) drainReadsLocked() {
 	p.rt.flashReads += flash
 	for i := int64(0); i < gets; i++ {
 		p.rt.onOp(p, true)
-	}
-}
-
-// writerDrainLocked is the write path's cadence-driven fold, used by the
-// WriteAsync direct (uncontended) fast path: a batch of one drains read
-// state every drainEvery writes or when the touch ring crowds, the same
-// bounded staleness the reader cadence and the owner's once-per-batch drain
-// already accept. The legacy WriteSync path keeps its deterministic
-// fold-on-every-op behavior. Caller holds p.mu.
-func (p *partition) writerDrainLocked() {
-	p.wdrain++
-	if p.wdrain >= drainEvery || p.touches.crowded() {
-		p.drainReadsLocked()
 	}
 }
 

@@ -93,8 +93,7 @@ type Stats struct {
 	CompactionHardStalls    int64
 	CompactionHardStallTime time.Duration
 
-	// Owner-goroutine write path (Options.WriteMode == WriteAsync; all
-	// zero under WriteSync).
+	// Write path (writequeue.go).
 	//
 	// WriteBatches counts owner batch applications; ViewRepublishes counts
 	// read-view publications (one per mutating batch rather than one per

@@ -10,15 +10,12 @@ import (
 	"github.com/prismdb/prismdb/internal/storage"
 )
 
-// This file holds the owner-goroutine write path (Options.WriteMode ==
-// WriteAsync, the default). It is a hybrid:
+// This file holds the write path's owner goroutine. Every client SET/DEL
+// enters through partition.write, which is a hybrid:
 //
 //   - Uncontended, a SET/DEL is a batch of one: the caller finds the
 //     intent ring empty, TryLocks the partition, and applies directly
-//     (partition.putDirectLocked) — no handoff, no parking, read-state
-//     drains on the batch cadence instead of per op. On a lone writer
-//     this path costs what the legacy locked path costs, minus the
-//     per-op drain.
+//     (partition.applyLocked) — no handoff, no parking.
 //   - Contended (TryLock lost, or intents already queued), callers frame
 //     their mutation as a writeIntent, enqueue it into a bounded
 //     lock-free MPSC ring, and block on a per-intent done signal. The
@@ -30,18 +27,17 @@ import (
 //     the enqueuing goroutine and the slab-write-before-WAL-append
 //     durability ordering.
 //
-// Either way a concurrent burst pays the partition's fixed costs once per
-// batch rather than once per op, which is what lets the write ceiling
-// beat the locked path at every width (bench/contended_test.go).
+// Under contention a burst pays the partition's fixed costs once per batch
+// rather than once per op (bench/contended_test.go measures the ceiling).
 //
 // The ring is the same Vyukov MPSC shape as readview.go's popularity touch
 // ring, but lossless: where a full touch ring drops the entry (popularity
 // is a heuristic), a full intent ring parks the producer on a condition
 // variable until the owner frees slots. Virtual-time latency composition
-// is untouched — the owner applies intents in arrival order on the
-// partition clock, so each op's reported latency is exactly what the
-// locked path would have billed it, and a serial caller (whose next op is
-// only issued after the previous done signal) produces batches of one.
+// is the same on both paths — the owner applies intents in arrival order
+// on the partition clock, so each op is billed exactly the clock interval
+// its own mutation consumed — and a serial caller always finds the ring
+// idle and the lock free, so it only ever takes the direct path.
 
 const (
 	// writeRingSize bounds the per-partition intent ring (power of two).
@@ -52,10 +48,11 @@ const (
 	maxWriteBatch = 128
 )
 
-// Write intent opcodes.
+// Write intent opcodes: the WAL's record opcodes, so replay hands its
+// records straight to applyLocked.
 const (
-	intentPut byte = iota
-	intentDel
+	intentPut = storage.OpPut
+	intentDel = storage.OpDel
 )
 
 // writeIntent is one framed mutation travelling from an enqueuing client
@@ -289,7 +286,7 @@ func (q *writeQueue) failPending(batch []*writeIntent) {
 }
 
 // startWriteOwner creates the partition's intent queue and owner goroutine
-// (WriteAsync mode; called once during Open, before client traffic).
+// (called once during Open, before client traffic).
 func (p *partition) startWriteOwner() {
 	p.wq = newWriteQueue()
 	p.wq.gate = p.writeGate
@@ -301,9 +298,6 @@ func (p *partition) startWriteOwner() {
 // batch mid-apply may be hard-stalled on the worker's next commit
 // (admitWrite), and stopping the worker first would strand it.
 func (p *partition) stopWriteOwner() {
-	if p.wq == nil {
-		return
-	}
 	q := p.wq
 	q.closed.Store(true)
 	q.wakeProducers()
@@ -458,9 +452,9 @@ func (p *partition) applyBatch(batch []*writeIntent) {
 
 // enqueueWait runs one client mutation through the owner: enqueue, wait
 // for the apply, then wait out durability off every lock (the group-commit
-// barrier, exactly as the legacy path waits after putLocking). tr is non-nil
-// only for sampled ops: the owner fills the queue-wait/apply/WAL stages and
-// the fsync wait is timed here around the durability barrier.
+// barrier, as the direct path does). tr is non-nil only for sampled ops:
+// the owner fills the queue-wait/apply/WAL stages and the fsync wait is
+// timed here around the durability barrier.
 func (p *partition) enqueueWait(op byte, key, value []byte, tr *OpTrace) (time.Duration, error) {
 	it := getIntent()
 	it.op, it.key, it.value = op, key, value
@@ -477,11 +471,5 @@ func (p *partition) enqueueWait(op byte, key, value []byte, tr *OpTrace) (time.D
 	if err != nil {
 		return lat, err
 	}
-	if tr != nil {
-		f0 := time.Now()
-		err = p.wal.WaitDurable(lsn)
-		tr.FsyncWait = time.Since(f0)
-		return lat, err
-	}
-	return lat, p.wal.WaitDurable(lsn)
+	return lat, p.waitDurable(lsn, tr)
 }

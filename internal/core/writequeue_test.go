@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -118,92 +120,114 @@ func TestReadYourWrites(t *testing.T) {
 	}
 }
 
-// TestWriteModeVirtualTimeFidelity runs one serial mixed workload under both
-// write modes: the owner path must bill each op its own virtual-time
-// interval (batching is a wall-clock optimization, not a virtual-time one),
-// so total elapsed virtual time stays within 15% of the legacy locked path.
-func TestWriteModeVirtualTimeFidelity(t *testing.T) {
-	run := func(mode WriteMode) time.Duration {
+// TestTracedWritesMatchUntraced runs one seeded serial Put/Get/Delete
+// sequence twice, once untraced and once with every write through
+// PutTraced/DeleteTraced. Tracing only times the one write path, so both
+// runs must end at the same virtual time with the same stats and read the
+// same values from the same tiers at the same latencies.
+func TestTracedWritesMatchUntraced(t *testing.T) {
+	type read struct {
+		val  string
+		tier Tier
+		lat  time.Duration
+	}
+	run := func(traced bool) (time.Duration, Stats, []read) {
 		o := testOptions()
-		o.WriteMode = mode
+		o.Partitions = 2
 		db, err := Open(o)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer db.Close()
-		for i := 0; i < 2000; i++ {
-			if _, err := db.Put(key(i%600), val(i, 700)); err != nil {
+		rng := rand.New(rand.NewSource(7))
+		var reads []read
+		for i := 0; i < 4000; i++ {
+			k := key(rng.Intn(1500))
+			var err error
+			switch r := rng.Intn(20); {
+			case r < 9:
+				v := val(i, 200+rng.Intn(900))
+				if traced {
+					_, err = db.PutTraced(k, v, &OpTrace{})
+				} else {
+					_, err = db.Put(k, v)
+				}
+			case r < 11:
+				if traced {
+					_, err = db.DeleteTraced(k, &OpTrace{})
+				} else {
+					_, err = db.Delete(k)
+				}
+			default:
+				var v []byte
+				var tier Tier
+				var lat time.Duration
+				v, tier, lat, err = db.Get(k)
+				reads = append(reads, read{string(v), tier, lat})
+			}
+			if err != nil {
 				t.Fatal(err)
 			}
-			if i%4 == 0 {
-				if _, _, _, err := db.Get(key(i % 600)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if i%17 == 0 {
-				if _, err := db.Delete(key(i % 600)); err != nil {
-					t.Fatal(err)
-				}
-			}
 		}
-		return db.Elapsed()
+		return db.Elapsed(), db.Stats(), reads
 	}
-	sync := run(WriteSync)
-	async := run(WriteAsync)
-	ratio := float64(async) / float64(sync)
-	if ratio < 0.85 || ratio > 1.15 {
-		t.Fatalf("virtual time diverged: sync=%v async=%v (ratio %.3f, want within 15%%)",
-			sync, async, ratio)
+	elapsed, st, reads := run(false)
+	tElapsed, tSt, tReads := run(true)
+	if elapsed != tElapsed {
+		t.Fatalf("Elapsed: untraced %v, traced %v", elapsed, tElapsed)
+	}
+	if !reflect.DeepEqual(st, tSt) {
+		t.Fatalf("Stats differ:\nuntraced %+v\ntraced   %+v", st, tSt)
+	}
+	if st.Compactions == 0 || st.Deletes == 0 {
+		t.Fatalf("sequence too small to exercise compaction and deletes: %+v", st)
+	}
+	if !reflect.DeepEqual(reads, tReads) {
+		t.Fatal("traced run read different values, tiers or latencies")
 	}
 }
 
 // TestPutBatch covers the batch entry point directly: correctness across
-// partitions, latency summing, the empty batch, the sync-mode fallback, and
-// post-Close failure.
+// partitions, latency summing, the empty batch, and post-Close failure.
 func TestPutBatch(t *testing.T) {
-	for _, mode := range []WriteMode{WriteAsync, WriteSync} {
-		t.Run(mode.String(), func(t *testing.T) {
-			o := testOptions()
-			o.Partitions = 2
-			o.WriteMode = mode
-			db, err := Open(o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer db.Close()
+	o := testOptions()
+	o.Partitions = 2
+	db, err := Open(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
 
-			if lat, err := db.PutBatch(nil); err != nil || lat != 0 {
-				t.Fatalf("empty batch = (%v, %v), want (0, nil)", lat, err)
-			}
-			const n = 64
-			pairs := make([]KV, n)
-			for i := range pairs {
-				pairs[i] = KV{Key: key(i), Value: val(i, 400)}
-			}
-			lat, err := db.PutBatch(pairs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if lat <= 0 {
-				t.Fatal("batch latency must be positive (summed per-op virtual time)")
-			}
-			for i := 0; i < n; i++ {
-				v, tier, _, err := db.Get(key(i))
-				if err != nil || tier == TierMiss {
-					t.Fatalf("get %d: tier=%v err=%v", i, tier, err)
-				}
-				if !bytes.Equal(v, val(i, 400)) {
-					t.Fatalf("get %d mismatch", i)
-				}
-			}
-			if st := db.Stats(); st.Puts != n {
-				t.Fatalf("Puts = %d, want %d", st.Puts, n)
-			}
-			db.Close()
-			if _, err := db.PutBatch(pairs[:2]); !errors.Is(err, ErrClosed) {
-				t.Fatalf("PutBatch after Close = %v, want ErrClosed", err)
-			}
-		})
+	if lat, err := db.PutBatch(nil); err != nil || lat != 0 {
+		t.Fatalf("empty batch = (%v, %v), want (0, nil)", lat, err)
+	}
+	const n = 64
+	pairs := make([]KV, n)
+	for i := range pairs {
+		pairs[i] = KV{Key: key(i), Value: val(i, 400)}
+	}
+	lat, err := db.PutBatch(pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lat <= 0 {
+		t.Fatal("batch latency must be positive (summed per-op virtual time)")
+	}
+	for i := 0; i < n; i++ {
+		v, tier, _, err := db.Get(key(i))
+		if err != nil || tier == TierMiss {
+			t.Fatalf("get %d: tier=%v err=%v", i, tier, err)
+		}
+		if !bytes.Equal(v, val(i, 400)) {
+			t.Fatalf("get %d mismatch", i)
+		}
+	}
+	if st := db.Stats(); st.Puts != n {
+		t.Fatalf("Puts = %d, want %d", st.Puts, n)
+	}
+	db.Close()
+	if _, err := db.PutBatch(pairs[:2]); !errors.Is(err, ErrClosed) {
+		t.Fatalf("PutBatch after Close = %v, want ErrClosed", err)
 	}
 }
 

@@ -118,10 +118,10 @@
 //     serializing on the writer side). Scans and both compaction modes
 //     keep their existing locking.
 //
-//   - Writes are BATCHED PER PARTITION (Options.WriteMode, default
-//     WriteAsync). An uncontended Put or Delete — intent ring empty, lock
-//     free — applies directly as a batch of one, folding read state on
-//     the batch cadence instead of per op. Under contention the op frames
+//   - Writes are BATCHED PER PARTITION. An uncontended Put or Delete —
+//     intent ring empty, lock free — applies directly as a batch of one,
+//     folding read state first, as every locked operation does. Under
+//     contention the op frames
 //     a write intent into the partition's bounded lock-free MPSC ring
 //     (Vyukov-style, 1024 slots; a producer that finds it full parks on a
 //     condvar rather than dropping — writes are lossless) and waits for
@@ -136,11 +136,11 @@
 //     (and durable, per Options.WALSync), each op is charged its own
 //     virtual-time interval on the partition clock exactly as if applied
 //     serially, and the view republishes before any ack — read-your-
-//     writes holds. A serial caller stays on the direct path and matches
-//     WriteSync virtual time within a few percent. WriteSync keeps the
-//     legacy take-the-lock-yourself path (bit-reproducible serial
-//     benches). PutBatch (the server's MSET and pipelined-SET fast path)
-//     hands a whole group of pairs to the queues in one call.
+//     writes holds. A serial caller always takes the direct path, so its
+//     virtual time is a deterministic function of its op stream (the
+//     serial benches reproduce bit for bit). PutBatch (the server's MSET
+//     and pipelined-SET fast path) hands a whole group of pairs to the
+//     queues in one call.
 //     Stats reports WriteBatches, batch-size percentiles, queue depth,
 //     and ProducerParks; the server's INFO writes section mirrors them.
 //
@@ -422,9 +422,6 @@ type (
 	// CompactionMode selects background (async) or inline (sync)
 	// compaction execution; see the package docs' Compaction section.
 	CompactionMode = core.CompactionMode
-	// WriteMode selects the owner-goroutine (async) or legacy locked
-	// (sync) write path; see the package docs' Concurrency section.
-	WriteMode = core.WriteMode
 	// ReadTriggerOptions configure read-triggered compactions.
 	ReadTriggerOptions = core.ReadTriggerOptions
 	// Device is a simulated NVMe device.
@@ -495,22 +492,6 @@ const (
 	// benches).
 	CompactionSync = core.CompactionSync
 )
-
-// Write-path execution modes (Options.WriteMode).
-const (
-	// WriteAsync routes each partition's mutations through its owner
-	// goroutine: writers enqueue intents into a bounded MPSC ring, the
-	// owner applies a whole batch in one critical section with one WAL
-	// group append and one view republication (the default).
-	WriteAsync = core.WriteAsync
-	// WriteSync keeps the legacy path: each writer takes the partition
-	// lock, applies, logs, and republishes its own operation.
-	WriteSync = core.WriteSync
-)
-
-// ParseWriteMode parses the -write-mode flag spellings: "async" (aliases
-// "queue", "owner") or "sync" (alias "locked").
-func ParseWriteMode(s string) (WriteMode, error) { return core.ParseWriteMode(s) }
 
 // WAL sync modes (Options.WALSync).
 const (
@@ -680,8 +661,7 @@ func (db *DB) Put(key, value []byte) (time.Duration, error) {
 }
 
 // PutBatch writes a group of pairs, returning their summed simulated
-// latency. Under WriteAsync all pairs enqueue onto their partitions' owner
-// queues together, so a batch costs one critical section, one WAL group
+// latency. All pairs enqueue onto their partitions' owner queues together, so a batch costs one critical section, one WAL group
 // append, and one view republication per touched partition; the server's
 // MSET and pipelined-SET fast path ride this. Pairs land in batch order
 // per partition, and the call returns only after every pair is applied

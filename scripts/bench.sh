@@ -17,10 +17,9 @@ trap 'rm -f "$tmp"' EXIT
 # The driver benchmarks live in ./bench (including the contended-read
 # scaling rows BenchmarkContendedGets/goroutines=1..8 — wall-Kops of one
 # hot partition under concurrent lock-free GETs; the contended-write
-# scaling rows BenchmarkContendedSets/goroutines=1..8 against the
-# BenchmarkContendedSetsLocked baseline — wall-Kops of one hot partition
-# through the batched owner-queue write path vs the legacy locked path,
-# where async should win at every width — plus the YCSB-A-shaped
+# scaling rows BenchmarkContendedSets/goroutines=1..8 — wall-Kops of one
+# hot partition through the batched owner-queue write path — plus the
+# YCSB-A-shaped
 # BenchmarkContendedMixed row with lock-free GETs racing the write queue,
 # and the durability-cost
 # rows BenchmarkWALFsyncModes/{sync,group,nosync} — acknowledged SETs/s
