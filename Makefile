@@ -31,6 +31,7 @@ test: lint
 	$(GO) test ./...
 	$(GO) test -race -run 'ConcurrentScansUnderWrites|ConcurrentOpsAcrossPartitions|ParallelScanAccounting' ./internal/core/ ./bench/
 	$(GO) test -race -run 'AsyncConcurrentOpsRaceMergeCommit|AsyncCloseRacesMergeCommit|AsyncModelBasedChurn' ./internal/core/
+	$(GO) test -count=50 -run 'AsyncConcurrentOpsRaceMergeCommit$$' ./internal/core/
 	$(GO) test -race -run 'LockFreeGetRacesMutators' ./internal/core/
 	$(GO) test -race -run 'WriteQueueRacesMutators' ./internal/core/
 	$(GO) test -race -run 'SnapshotConcurrentReads' ./internal/btree/

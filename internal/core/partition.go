@@ -118,13 +118,20 @@ type partition struct {
 	sinceDrain atomic.Int64
 
 	// Write path (writequeue.go): wq is the owner goroutine's intent queue,
-	// started by Open. curBatch is non-nil only inside applyBatch's
-	// critical section; putBodyLocked and delBodyLocked route their WAL
-	// records and view republication through it so the whole batch shares
-	// one append and one publish. wbHist is the batch-size histogram
-	// (guarded by mu, bits.Len-bucketed like the WAL's group-commit
-	// histogram).
+	// started by Open. wmu serializes client mutations end to end: the owner
+	// holds it across a whole batch, a direct writer across its one op. The
+	// partition lock alone cannot, because admitWrite's hard stall releases
+	// mu in the middle of a mutation; without wmu a direct writer could
+	// apply inside a stalled batch, defer its view republication and WAL
+	// record into that batch, and return to its client before either
+	// happened. Lock order: wmu before mu. curBatch is non-nil only inside
+	// applyBatch (guarded by wmu); putBodyLocked and delBodyLocked route
+	// their WAL records and view republication through it so the whole
+	// batch shares one append and one publish. wbHist is the batch-size
+	// histogram (guarded by mu, bits.Len-bucketed like the WAL's
+	// group-commit histogram).
 	wq           *writeQueue
+	wmu          sync.Mutex
 	curBatch     *pendingBatch
 	batchScratch pendingBatch
 	wbHist       [16]int64
@@ -386,6 +393,9 @@ func (p *partition) stallTo(t int64) {
 // and cost two scheduler handoffs, so it applies directly under the lock it
 // just took. Under contention TryLock fails (or intents are already queued)
 // and the op rides the owner queue (writequeue.go), where real batches form.
+// The direct path needs wmu as well as mu: an owner batch hard-stalled in
+// admitWrite has released mu but still holds wmu, and an op that cannot
+// take wmu queues behind that batch instead of applying inside it.
 // Either path then blocks off-lock (durable DBs in SyncEvery mode) until
 // the op's WAL record is fsynced, so the group-commit wait never serializes
 // the partition. tr is non-nil only for sampled ops and receives the op's
@@ -394,7 +404,11 @@ func (p *partition) write(op byte, key, value []byte, tr *OpTrace) (time.Duratio
 	if err := p.writeGate(); err != nil {
 		return 0, err
 	}
-	if !p.wq.idle() || !p.mu.TryLock() {
+	if !p.wq.idle() || !p.wmu.TryLock() {
+		return p.enqueueWait(op, key, value, tr)
+	}
+	if !p.mu.TryLock() {
+		p.wmu.Unlock()
 		return p.enqueueWait(op, key, value, tr)
 	}
 	var a0 time.Time
@@ -409,6 +423,7 @@ func (p *partition) write(op byte, key, value []byte, tr *OpTrace) (time.Duratio
 	p.stats.DirectWrites++
 	lat, lsn, err := p.applyLocked(op, key, value, true)
 	p.mu.Unlock()
+	p.wmu.Unlock()
 	if tr != nil {
 		tr.Apply = time.Since(a0)
 	}

@@ -14,8 +14,10 @@ import (
 // enters through partition.write, which is a hybrid:
 //
 //   - Uncontended, a SET/DEL is a batch of one: the caller finds the
-//     intent ring empty, TryLocks the partition, and applies directly
-//     (partition.applyLocked) — no handoff, no parking.
+//     intent ring empty, TryLocks the partition's write lock and then its
+//     lock, and applies directly (partition.applyLocked) — no handoff, no
+//     parking. The owner holds the write lock across a whole batch, so a
+//     direct op never lands inside a batch that admitWrite has parked.
 //   - Contended (TryLock lost, or intents already queued), callers frame
 //     their mutation as a writeIntent, enqueue it into a bounded
 //     lock-free MPSC ring, and block on a per-intent done signal. The
@@ -367,6 +369,7 @@ func (p *partition) applyBatch(batch []*writeIntent) {
 		}
 		return
 	}
+	p.wmu.Lock()
 	p.mu.Lock()
 	p.syncClockLocked()
 	p.drainReadsLocked()
@@ -432,6 +435,7 @@ func (p *partition) applyBatch(batch []*writeIntent) {
 	}
 	p.casMaxVclock(p.clk.Now())
 	p.mu.Unlock()
+	p.wmu.Unlock()
 	for _, it := range batch {
 		switch {
 		case it.err != nil:

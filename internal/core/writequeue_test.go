@@ -189,46 +189,53 @@ func TestTracedWritesMatchUntraced(t *testing.T) {
 
 // TestPutBatch covers the batch entry point directly: correctness across
 // partitions, latency summing, the empty batch, and post-Close failure.
+// The subtest is named for the path it drives: a batch is always enqueued
+// on the partitions' owner queues (async intents), never applied directly.
 func TestPutBatch(t *testing.T) {
-	o := testOptions()
-	o.Partitions = 2
-	db, err := Open(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
+	t.Run("async", func(t *testing.T) {
+		o := testOptions()
+		o.Partitions = 2
+		db, err := Open(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
 
-	if lat, err := db.PutBatch(nil); err != nil || lat != 0 {
-		t.Fatalf("empty batch = (%v, %v), want (0, nil)", lat, err)
-	}
-	const n = 64
-	pairs := make([]KV, n)
-	for i := range pairs {
-		pairs[i] = KV{Key: key(i), Value: val(i, 400)}
-	}
-	lat, err := db.PutBatch(pairs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lat <= 0 {
-		t.Fatal("batch latency must be positive (summed per-op virtual time)")
-	}
-	for i := 0; i < n; i++ {
-		v, tier, _, err := db.Get(key(i))
-		if err != nil || tier == TierMiss {
-			t.Fatalf("get %d: tier=%v err=%v", i, tier, err)
+		if lat, err := db.PutBatch(nil); err != nil || lat != 0 {
+			t.Fatalf("empty batch = (%v, %v), want (0, nil)", lat, err)
 		}
-		if !bytes.Equal(v, val(i, 400)) {
-			t.Fatalf("get %d mismatch", i)
+		const n = 64
+		pairs := make([]KV, n)
+		for i := range pairs {
+			pairs[i] = KV{Key: key(i), Value: val(i, 400)}
 		}
-	}
-	if st := db.Stats(); st.Puts != n {
-		t.Fatalf("Puts = %d, want %d", st.Puts, n)
-	}
-	db.Close()
-	if _, err := db.PutBatch(pairs[:2]); !errors.Is(err, ErrClosed) {
-		t.Fatalf("PutBatch after Close = %v, want ErrClosed", err)
-	}
+		lat, err := db.PutBatch(pairs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lat <= 0 {
+			t.Fatal("batch latency must be positive (summed per-op virtual time)")
+		}
+		for i := 0; i < n; i++ {
+			v, tier, _, err := db.Get(key(i))
+			if err != nil || tier == TierMiss {
+				t.Fatalf("get %d: tier=%v err=%v", i, tier, err)
+			}
+			if !bytes.Equal(v, val(i, 400)) {
+				t.Fatalf("get %d mismatch", i)
+			}
+		}
+		if st := db.Stats(); st.Puts != n {
+			t.Fatalf("Puts = %d, want %d", st.Puts, n)
+		}
+		if st := db.Stats(); st.DirectWrites != 0 {
+			t.Fatalf("DirectWrites = %d, want 0: a batch must ride the owner queue", st.DirectWrites)
+		}
+		db.Close()
+		if _, err := db.PutBatch(pairs[:2]); !errors.Is(err, ErrClosed) {
+			t.Fatalf("PutBatch after Close = %v, want ErrClosed", err)
+		}
+	})
 }
 
 // TestPutBatchCrashDurability extends the acknowledged-write contract to
